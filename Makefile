@@ -110,10 +110,12 @@ soak-diff:
 regen-golden:
 	go test ./experiments -run TestGoldenOutputs -update-golden
 
-# Short fuzz runs over the decoders that face untrusted bytes: decode
-# must return an error, never panic or over-allocate.
+# Short fuzz runs over the decoders that face untrusted bytes (decode
+# must return an error, never panic or over-allocate) and over the
+# compiled TCAM classifier (lookups must equal flowspace.EvalTable).
 fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/proto/
 	go test -run=^$$ -fuzz=FuzzReadMessage -fuzztime=10s ./internal/proto/
 	go test -run=^$$ -fuzz=FuzzDecodeWire -fuzztime=10s ./internal/packet/
 	go test -run=^$$ -fuzz=FuzzParseRule -fuzztime=10s ./internal/policyio/
+	go test -run=^$$ -fuzz=FuzzCompiledLookup -fuzztime=10s ./internal/tcam/

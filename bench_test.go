@@ -9,6 +9,8 @@
 package difane_test
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +20,8 @@ import (
 	"difane/internal/flowspace"
 	"difane/internal/packet"
 	"difane/internal/proto"
+	"difane/internal/switchsim"
+	"difane/internal/tcam"
 )
 
 // benchOpts runs the full-size workloads.
@@ -504,8 +508,9 @@ func BenchmarkPartitioner(b *testing.B) {
 	}
 }
 
-// BenchmarkTCAMLookup measures single-table classification.
-func BenchmarkTCAMLookup(b *testing.B) {
+// BenchmarkEvalTable measures the reference classifier: a linear
+// highest-priority scan over a 1000-rule policy.
+func BenchmarkEvalTable(b *testing.B) {
 	policy := difane.ClassBenchLike(difane.ACLConfig{
 		Rules: 1000, MaxDepth: 6, Egresses: []uint32{1}, Seed: 11,
 	})
@@ -516,4 +521,132 @@ func BenchmarkTCAMLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		difane.Evaluate(policy, k)
 	}
+}
+
+// coverCache is an ingress cache's shape: the cover rules authority
+// switches synthesize (flowspace.CoverFor) for keys inside a ClassBench-like
+// policy's rules, deduplicated, at the hit rule's priority. It returns the
+// policy too.
+func coverCache(n int) (covers, policy []flowspace.Rule) {
+	policy = difane.ClassBenchLike(difane.ACLConfig{
+		Rules: max(256, n/4), MaxDepth: 4, PortRangeFrac: 0.1, DropFrac: 0.1,
+		Egresses: []uint32{1, 2, 3, 4}, Seed: 42,
+	})
+	rng := rand.New(rand.NewSource(1))
+	seen := map[flowspace.Match]bool{}
+	for tries := 0; len(covers) < n && tries < 50*n; tries++ {
+		hit := rng.Intn(len(policy))
+		k := policy[hit].Match.RandomKeyIn(randFill(rng))
+		r, _ := flowspace.EvalTable(policy, k)
+		for policy[hit].ID != r.ID {
+			hit--
+		}
+		cover, ok := flowspace.CoverFor(policy, hit, flowspace.MatchAll(), k)
+		if ok && !seen[cover] {
+			seen[cover] = true
+			covers = append(covers, flowspace.Rule{
+				ID: uint64(len(covers) + 1), Priority: r.Priority, Match: cover, Action: r.Action,
+			})
+		}
+	}
+	return covers, policy
+}
+
+func randFill(rng *rand.Rand) (fill [flowspace.NumFields]uint64) {
+	for f := range fill {
+		fill[f] = rng.Uint64()
+	}
+	return fill
+}
+
+// cacheKeys returns n keys inside random covers (hits) and n uniform keys
+// that no cover matches (misses).
+func cacheKeys(covers []flowspace.Rule, n int) (hits, misses []flowspace.Key) {
+	rng := rand.New(rand.NewSource(2))
+	for len(hits) < n {
+		hits = append(hits, covers[rng.Intn(len(covers))].Match.RandomKeyIn(randFill(rng)))
+	}
+	for len(misses) < n {
+		k := flowspace.MatchAll().RandomKeyIn(randFill(rng))
+		if _, ok := flowspace.EvalTable(covers, k); !ok {
+			misses = append(misses, k)
+		}
+	}
+	return hits, misses
+}
+
+// BenchmarkTCAMLookup measures one ingress-cache lookup through
+// tcam.Table, hitting and missing, at three cache sizes. The table is
+// warmed by lookups first, as traffic would.
+func BenchmarkTCAMLookup(b *testing.B) {
+	for _, n := range []int{300, 1000, 10000} {
+		covers, _ := coverCache(n)
+		hits, misses := cacheKeys(covers, 1024)
+		tb := tcam.New("cache", 0, tcam.EvictNone)
+		for _, r := range covers {
+			if err := tb.Insert(0, r, 0, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 0; i < 100*n; i++ {
+			tb.Lookup(0, hits[i%len(hits)], 64)
+		}
+		for _, c := range []struct {
+			name string
+			keys []flowspace.Key
+		}{{"hit", hits}, {"miss", misses}} {
+			b.Run(fmt.Sprintf("%d/%s", n, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					tb.Lookup(0, c.keys[i%len(c.keys)], 64)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkClassifyBurst measures switchsim.ClassifyBurst on 64-packet
+// bursts against a 300-cover cache over a 256-rule authority table: 90%
+// of packets hit the cache, the rest fall through to the authority rules.
+// It reports ns per packet.
+func BenchmarkClassifyBurst(b *testing.B) {
+	const burst = 64
+	covers, policy := coverCache(300)
+	sw := switchsim.New(1, switchsim.Config{})
+	for table, rules := range map[proto.Table][]flowspace.Rule{
+		proto.TableCache: covers, proto.TableAuthority: policy,
+	} {
+		for _, r := range rules {
+			if err := sw.Table(table).Insert(0, r, 0, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	hits, misses := cacheKeys(covers, 1024)
+	keys := make([]flowspace.Key, 0, 4096)
+	for i := 0; len(keys) < cap(keys); i++ {
+		if i%10 == 9 {
+			keys = append(keys, misses[i%len(misses)])
+		} else {
+			keys = append(keys, hits[i%len(hits)])
+		}
+	}
+	sizes := make([]int, burst)
+	for i := range sizes {
+		sizes[i] = 64
+	}
+	out := make([]switchsim.Result, burst)
+	run := func(i int) {
+		j := i * burst % len(keys)
+		sw.ClassifyBurst(0, keys[j:j+burst], sizes, out)
+	}
+	for i := 0; i < 1000; i++ {
+		run(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/pkt")
 }

@@ -21,7 +21,7 @@ func (n *Network) CachePolicy() *cachepolicy.Policy { return n.cachePol }
 // partition covers it — only possible mid-reassignment).
 func (n *Network) regionOfKey(k flowspace.Key) int {
 	for i := range n.Assignment.Partitions {
-		if n.Assignment.Partitions[i].Region.Matches(k) {
+		if n.Assignment.Partitions[i].Region.Has(&k) {
 			return i
 		}
 	}
@@ -32,7 +32,7 @@ func (n *Network) regionOfKey(k flowspace.Key) int {
 // rules are clipped to one partition's region, so any member key of the
 // match identifies it; the match's Value fields (wildcard bits zero) are
 // such a key.
-func (n *Network) regionOfMatch(m flowspace.Match) int {
+func (n *Network) regionOfMatch(m *flowspace.Match) int {
 	var k flowspace.Key
 	for f := flowspace.FieldID(0); f < flowspace.NumFields; f++ {
 		k[f] = m.Fields[f].Value
@@ -40,25 +40,27 @@ func (n *Network) regionOfMatch(m flowspace.Match) int {
 	return n.regionOfKey(k)
 }
 
-// cacheVictimFn builds the custom victim picker installed on every
-// ingress cache, or nil when the deployment is not cost-aware. The TCAM
-// calls it with its table lock held; the closure only reads the
-// single-threaded simulator's assignment, so that is safe here (wire mode
-// builds its own closure over immutable state).
+// cacheVictimFn builds the custom victim picker for one ingress cache, or
+// nil when the deployment is not cost-aware. The TCAM calls it with its
+// table lock held, which also guards the closure's scratch slice; the
+// closure only reads the single-threaded simulator's assignment, so that
+// is safe here (wire mode builds its own closure over immutable state).
 func (n *Network) cacheVictimFn() tcam.VictimFunc {
 	if n.cachePol == nil {
 		return nil
 	}
+	var cc []cachepolicy.Candidate
 	return func(now float64, cands []tcam.VictimCandidate) int {
-		cc := make([]cachepolicy.Candidate, len(cands))
-		for i, c := range cands {
-			cc[i] = cachepolicy.Candidate{
+		cc = cc[:0]
+		for i := range cands {
+			c := &cands[i]
+			cc = append(cc, cachepolicy.Candidate{
 				ID:        c.ID,
-				Region:    n.regionOfMatch(c.Rule.Match),
+				Region:    n.regionOfMatch(&c.Rule.Match),
 				Packets:   c.Packets,
 				LastHit:   c.LastHit,
 				Installed: c.Installed,
-			}
+			})
 		}
 		return n.cachePol.Victim(now, cc)
 	}
@@ -189,7 +191,7 @@ func (n *Network) adaptCaches() {
 			if span <= 0 {
 				continue
 			}
-			pol.ObserveInterArrival(n.regionOfMatch(e.Rule.Match), span/float64(e.Packets-1))
+			pol.ObserveInterArrival(n.regionOfMatch(&e.Rule.Match), span/float64(e.Packets-1))
 		}
 	}
 

@@ -44,6 +44,17 @@ func (m Match) Matches(k Key) bool {
 	return true
 }
 
+// Has is Matches without copying the 160-byte match or the 80-byte key:
+// the form every per-packet scan uses.
+func (m *Match) Has(k *Key) bool {
+	for i := range m.Fields {
+		if (k[i]^m.Fields[i].Value)&m.Fields[i].Mask != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Overlaps reports whether some header satisfies both matches.
 func (m Match) Overlaps(o Match) bool {
 	for i := range m.Fields {

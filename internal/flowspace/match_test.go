@@ -53,6 +53,22 @@ func TestMatchAllMatchesEverything(t *testing.T) {
 	}
 }
 
+// TestHasAgreesWithMatches holds the copy-free Has to the reference
+// Matches, on keys inside and outside random matches.
+func TestHasAgreesWithMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 5000; i++ {
+		m := randMatch(rng)
+		k := randKey(rng)
+		if i%2 == 0 {
+			k = randKeyIn(rng, m)
+		}
+		if m.Has(&k) != m.Matches(k) {
+			t.Fatalf("%v: Has(%v) = %v, Matches = %v", m, k, m.Has(&k), m.Matches(k))
+		}
+	}
+}
+
 func TestMatchBuildersAndString(t *testing.T) {
 	m := MatchAll().
 		WithPrefix(FIPSrc, 0x0A000000, 8).

@@ -68,7 +68,10 @@ func (r Rule) String() string {
 }
 
 // Before reports whether r is examined before o in a TCAM holding both.
-func (r Rule) Before(o Rule) bool {
+func (r Rule) Before(o Rule) bool { return r.Precedes(&o) }
+
+// Precedes is Before on handles, for scans that must not copy rules.
+func (r *Rule) Precedes(o *Rule) bool {
 	if r.Priority != o.Priority {
 		return r.Priority > o.Priority
 	}
@@ -84,18 +87,16 @@ func SortRules(rs []Rule) {
 // or false if none matches. It is the semantic reference against which all
 // faster lookup structures are tested.
 func EvalTable(rs []Rule, k Key) (Rule, bool) {
-	var best Rule
-	found := false
-	for _, r := range rs {
-		if !r.Match.Matches(k) {
-			continue
-		}
-		if !found || r.Before(best) {
-			best = r
-			found = true
+	best := -1
+	for i := range rs {
+		if rs[i].Match.Has(&k) && (best < 0 || rs[i].Precedes(&rs[best])) {
+			best = i
 		}
 	}
-	return best, found
+	if best < 0 {
+		return Rule{}, false
+	}
+	return rs[best], true
 }
 
 // Shadowed reports whether rule rs[i] can never match any packet because
@@ -146,28 +147,29 @@ func DependentSet(rs []Rule, i int) []int {
 // back to an exact-match cache rule).
 func CoverFor(rs []Rule, hit int, clip Match, k Key) (Match, bool) {
 	region, ok := rs[hit].Match.Intersect(clip)
-	if !ok || !region.Matches(k) {
+	if !ok || !region.Has(&k) {
 		return Match{}, false
 	}
 	pieces := []Match{region}
-	for j, r := range rs {
-		if j == hit || !r.Before(rs[hit]) || !r.Match.Overlaps(region) {
+	for j := range rs {
+		r := &rs[j]
+		if j == hit || !r.Precedes(&rs[hit]) || !r.Match.Overlaps(region) {
 			continue
 		}
 		var next []Match
-		for _, p := range pieces {
-			if !p.Matches(k) {
+		for i := range pieces {
+			if !pieces[i].Has(&k) {
 				// Keep only the piece chain containing the packet; the
 				// others can never be the returned cover.
 				continue
 			}
-			next = append(next, p.Subtract(r.Match)...)
+			next = append(next, pieces[i].Subtract(r.Match)...)
 		}
 		pieces = next
 	}
-	for _, p := range pieces {
-		if p.Matches(k) {
-			return p, true
+	for i := range pieces {
+		if pieces[i].Has(&k) {
+			return pieces[i], true
 		}
 	}
 	return Match{}, false

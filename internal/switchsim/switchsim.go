@@ -142,9 +142,11 @@ func (s *Switch) Table(t proto.Table) *tcam.Table {
 	}
 }
 
-// Result is the outcome of classifying one packet.
+// Result is the outcome of classifying one packet. Rule is a handle into
+// the matching table entry (see internal/tcam): immutable, so it stays
+// valid after the rule leaves the table.
 type Result struct {
-	Rule  flowspace.Rule
+	Rule  *flowspace.Rule
 	Table proto.Table
 	OK    bool
 }
@@ -185,7 +187,7 @@ func (s *Switch) ClassifyBurst(now float64, keys []flowspace.Key, sizes []int, o
 	v := s.cache.AcquireView()
 	hits := uint64(0)
 	for i := range keys {
-		if r, ok := v.Lookup(now, keys[i], sizes[i]); ok {
+		if r, ok := v.Lookup(now, &keys[i], sizes[i]); ok {
 			out[i] = Result{Rule: r, Table: proto.TableCache, OK: true}
 			hits++
 			remaining--
@@ -204,7 +206,7 @@ func (s *Switch) ClassifyBurst(now float64, keys []flowspace.Key, sizes []int, o
 			if out[i].OK {
 				continue
 			}
-			if r, ok := v.Lookup(now, keys[i], sizes[i]); ok {
+			if r, ok := v.Lookup(now, &keys[i], sizes[i]); ok {
 				out[i] = Result{Rule: r, Table: proto.TableAuthority, OK: true}
 				hits++
 				remaining--
@@ -222,7 +224,7 @@ func (s *Switch) ClassifyBurst(now float64, keys []flowspace.Key, sizes []int, o
 			if out[i].OK {
 				continue
 			}
-			if r, ok := v.Lookup(now, keys[i], sizes[i]); ok {
+			if r, ok := v.Lookup(now, &keys[i], sizes[i]); ok {
 				out[i] = Result{Rule: r, Table: proto.TablePartition, OK: true}
 				hits++
 				remaining--

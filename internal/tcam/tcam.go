@@ -6,22 +6,38 @@
 // deterministic under the discrete-event simulator; the wire-mode prototype
 // feeds it monotonic time converted to seconds.
 //
-// Concurrency: the table is safe for concurrent use with a read-mostly
-// design. Lookups (Lookup, Peek, Len, Entries, Rules, NextExpiry) walk an
-// immutable snapshot published through an atomic pointer and update
-// per-entry counters with atomics, so the data-plane hot path never takes
-// a lock and never contends with rule installs. Mutations (Insert, Delete,
-// DeleteWhere, Advance) serialize on an internal mutex and mark the
-// snapshot dirty. Republishing is adaptive: while mutations keep landing
-// (a bulk policy install, a miss storm churning an exact-match cache),
-// reads scan the live table under the mutex — an O(n) walk either way —
-// instead of paying an O(n) snapshot copy per mutation; once the table
-// quiesces (a dirty read observes no mutation since the previous one),
-// the snapshot is rebuilt, published atomically, and reads go lock-free
-// again. Either way a lookup observes either the complete old table or
-// the complete new one, never a half-applied mutation — the linearization
-// point is the mutex acquisition (churning) or the snapshot publish
-// (quiesced).
+// Concurrency: mutations (Insert, Delete, DeleteWhere, Advance,
+// SetCapacity) serialize on an internal mutex; lookups (Lookup, View,
+// Peek, Len) never take it. Each mutation bumps the table version and
+// publishes, through an atomic pointer, an immutable snapshot: a compiled
+// cut tree (compile.go) plus the entries installed since the tree was
+// built. A removal is not copied anywhere — each entry records the
+// versions that installed and removed it, and a snapshot at version v
+// holds exactly the entries installed at or before v and not removed by
+// then — so republishing costs O(1) amortized instead of a table copy,
+// and a lookup observes either the complete old table or the complete new
+// one, never a half-applied mutation. The publish is the linearization
+// point.
+//
+// Compiling: a snapshot's lookups charge its tree with the rule slots they
+// scan beyond it (the additions since the tree was built, dead entries,
+// or the whole table while the tree is still an uncut single leaf). Once
+// that debt reaches the cost of compiling the table, the reader that
+// crosses it builds a new tree outside the mutex and splices it in with
+// the additions it already covers dropped; meanwhile lookups keep using
+// the old tree. Compile cost is thus paid by lookups, in proportion to
+// the scanning it saves, never by installs. A writer whose additions
+// outgrow the tree publishes an uncut tree over the live entries instead,
+// which bounds the additions list and the memory dead entries pin.
+//
+// Handles: lookups return a *flowspace.Rule pointing into the installed
+// entry. Installed rules are never modified — Insert replaces an entry by
+// installing a new one — so a handle stays valid and unchanged for as
+// long as the caller keeps it, even after the rule leaves the table; it
+// then describes the rule as it was installed.
+//
+// Inspection (Entries, Rules, NextExpiry, Counters, String) copies the
+// live table under the mutex.
 package tcam
 
 import (
@@ -76,6 +92,11 @@ type entry struct {
 	hardTimeout float64
 	installed   float64
 
+	// added is the table version that installed the entry; removed is the
+	// version that took it out, 0 while it is installed.
+	added   uint64
+	removed atomic.Uint64
+
 	packets     atomic.Uint64
 	bytes       atomic.Uint64
 	lastHitBits atomic.Uint64 // math.Float64bits of the last-hit time
@@ -122,12 +143,13 @@ const (
 	EvictLFU
 )
 
-// VictimCandidate is one eviction candidate handed to a VictimFunc: the
-// installed rule plus the runtime state a cost model scores with. Pinned
-// entries are filtered out before the picker ever sees them.
+// VictimCandidate is one eviction candidate handed to a VictimFunc: a
+// handle to the installed rule (read-only, like every handle) plus the
+// runtime state a cost model scores with. Pinned entries are filtered out
+// before the picker ever sees them.
 type VictimCandidate struct {
 	ID        uint64
-	Rule      flowspace.Rule
+	Rule      *flowspace.Rule
 	Packets   uint64
 	LastHit   float64
 	Installed float64
@@ -137,7 +159,7 @@ type VictimCandidate struct {
 // capacity, returning an index into cands or a negative value to decline
 // (the table then falls back to its built-in policy ordering). It is
 // called with the table mutex held, so implementations must not call
-// back into the table.
+// back into the table, and cands is only valid during the call.
 type VictimFunc func(now float64, cands []VictimCandidate) int
 
 // Table is a TCAM-semantics rule table with a lock-free lookup path and
@@ -147,26 +169,23 @@ type Table struct {
 	capacity int // 0 = unlimited
 	policy   EvictionPolicy
 
-	// mu serializes mutations. entries and byID are owned by mu; view is
-	// the immutable snapshot the lock-free read path walks. Mutations set
-	// dirty instead of rebuilding the snapshot inline, so bulk installs
-	// stay O(1) per rule; reads that land while dirty scan entries under
-	// mu, and the snapshot republishes only once mutations quiesce
-	// (maybeRepublishLocked) — version counts mutations and lastDirtyRead
-	// remembers the version the previous dirty read saw, both owned by mu.
-	mu            sync.Mutex
-	entries       []*entry // kept in TCAM order: highest priority first
-	byID          map[uint64]*entry
-	version       uint64
-	lastDirtyRead uint64
-	view          atomic.Pointer[[]viewEntry]
-	dirty         atomic.Bool
+	// mu serializes mutations. entries (in TCAM order: highest priority
+	// first), byID and version are owned by mu; snap is the immutable read
+	// state lookups load.
+	mu      sync.Mutex
+	entries []*entry
+	byID    map[uint64]*entry
+	version uint64
+	snap    atomic.Pointer[snapshot]
+	snaps   []snapshot // unpublished slots, owned by mu
 
 	// pins refcounts rule IDs protected from eviction (in-flight installs);
-	// victimFn, when set, overrides the policy's victim ordering. Both are
-	// owned by mu.
-	pins     map[uint64]int
-	victimFn VictimFunc
+	// victimFn, when set, overrides the policy's victim ordering; cands and
+	// candEntries are its reused scratch. All are owned by mu.
+	pins        map[uint64]int
+	victimFn    VictimFunc
+	cands       []VictimCandidate
+	candEntries []*entry
 
 	// OnExpire, if non-nil, is invoked for each entry removed by Advance.
 	// Set it before the table is shared across goroutines.
@@ -197,70 +216,143 @@ func New(name string, capacity int, policy EvictionPolicy) *Table {
 		policy:   policy,
 		byID:     make(map[uint64]*entry),
 	}
-	t.publishLocked()
+	t.snap.Store(&snapshot{tree: flatTree(nil)})
 	return t
 }
 
-// viewEntry is one slot of the published read snapshot: the match is
-// inlined so a lookup scans contiguous memory instead of chasing an entry
-// pointer per rule — a miss walks the whole table, so scan locality sets
-// the miss path's cost — and the entry pointer is touched only on a hit.
-type viewEntry struct {
-	match flowspace.Match
-	e     *entry
+// snapshot is one published read state: the table version it reflects, a
+// tree over the entries live when the tree was built, and the entries
+// installed since (adds, in install order, some possibly removed again).
+type snapshot struct {
+	version uint64
+	tree    *cutTree
+	adds    []*entry
+	n       int // live entries
 }
 
-// publishLocked rebuilds the read snapshot from entries. Callers hold mu
-// (or, in New, exclusive ownership).
-func (t *Table) publishLocked() {
-	v := make([]viewEntry, len(t.entries))
-	for i, e := range t.entries {
-		v[i] = viewEntry{match: e.rule.Match, e: e}
-	}
-	t.view.Store(&v)
-	t.dirty.Store(false)
+const (
+	// foldSlack is how far a snapshot's additions may outgrow its tree
+	// before a writer publishes an uncut tree over the live entries.
+	foldSlack = 64
+	// snapshotSlab is how many snapshots one allocation provides.
+	snapshotSlab = 32
+)
+
+// holds reports whether e is installed in the snapshot's table state.
+func (s *snapshot) holds(e *entry) bool {
+	r := e.removed.Load()
+	return r == 0 || r > s.version
 }
 
-// markDirtyLocked records one mutation: the published snapshot is stale
-// and the quiescence clock restarts. Callers hold mu.
-func (t *Table) markDirtyLocked() {
-	t.version++
-	t.dirty.Store(true)
+// find returns the first entry in TCAM order matching k, or nil, plus the
+// rule slots it scanned that a recompile would spare.
+func (s *snapshot) find(k *flowspace.Key) (*entry, int) {
+	var best *entry
+	leaf := s.tree.leaf(k)
+	scanned, dead := len(leaf), 0
+	for i, e := range leaf {
+		if e.rule.Match.Has(k) {
+			if s.holds(e) {
+				best, scanned = e, i+1
+				break
+			}
+			dead++
+		}
+	}
+	for _, e := range s.adds {
+		if e.rule.Match.Has(k) && s.holds(e) && (best == nil || e.rule.Precedes(&best.rule)) {
+			best = e
+		}
+	}
+	if !s.tree.cut {
+		return best, scanned + len(s.adds)
+	}
+	return best, dead + len(s.adds)
 }
 
-// maybeRepublishLocked decides, on a read that found the snapshot dirty,
-// whether the table has quiesced. It republishes (and reports true) only
-// when no mutation has landed since the previous dirty read — rebuilding
-// mid-churn would pay an O(n) snapshot copy per mutation, which is what
-// this scheme exists to avoid. Reporting false means the caller should
-// scan t.entries under mu instead. Callers hold mu.
-func (t *Table) maybeRepublishLocked() bool {
-	if !t.dirty.Load() {
-		return true // raced with another reader's republish
+// live returns the entries the snapshot holds, in TCAM order: the tree's
+// survivors merged with the surviving additions.
+func (s *snapshot) live() []*entry {
+	var adds []*entry
+	for _, e := range s.adds {
+		if s.holds(e) {
+			adds = append(adds, e)
+		}
 	}
-	if t.version == t.lastDirtyRead {
-		t.publishLocked()
-		return true
+	sort.Slice(adds, func(i, j int) bool { return adds[i].rule.Precedes(&adds[j].rule) })
+	out := make([]*entry, 0, s.n)
+	for _, e := range s.tree.entries {
+		if !s.holds(e) {
+			continue
+		}
+		for len(adds) > 0 && adds[0].rule.Precedes(&e.rule) {
+			out = append(out, adds[0])
+			adds = adds[1:]
+		}
+		out = append(out, e)
 	}
-	t.lastDirtyRead = t.version
-	return false
+	return append(out, adds...)
 }
 
-// loadView returns the current immutable snapshot, or nil when the table
-// is churning — mutations are still landing, so the caller must scan
-// t.entries under mu (loadView leaves mu held in that case; it returns
-// with mu released otherwise). The dirty fast path keeps steady-state
-// reads lock-free: the mutex is touched only by reads racing a mutation.
-func (t *Table) loadView() ([]viewEntry, bool) {
-	if !t.dirty.Load() {
-		return *t.view.Load(), true
+// publishLocked publishes the table state at t.version, appending add
+// (when non-nil) to the additions. Appending reuses the additions' backing
+// array: older snapshots only read a prefix of it, and only the newest
+// snapshot's additions are ever appended to. Callers hold mu.
+func (t *Table) publishLocked(add *entry) {
+	cur := t.snap.Load()
+	next := t.newSnapshotLocked()
+	*next = snapshot{version: t.version, tree: cur.tree, adds: cur.adds, n: len(t.entries)}
+	if add != nil {
+		next.adds = append(next.adds, add)
 	}
+	if len(next.adds) > len(cur.tree.entries)+foldSlack {
+		next.tree = flatTree(append([]*entry(nil), t.entries...))
+		next.adds = nil
+	}
+	t.snap.Store(next)
+}
+
+// charge books waste rule slots against s's tree and recompiles it when
+// the debt has paid for a compile. Only one reader compiles a tree; the
+// others keep scanning it meanwhile.
+func (t *Table) charge(s *snapshot, waste int64) {
+	if s.tree.debt.Add(waste) < compileWeight*int64(s.n+leafSize) ||
+		!s.tree.compiling.CompareAndSwap(false, true) {
+		return
+	}
+	tree := compileTree(s.live())
 	t.mu.Lock()
-	if t.maybeRepublishLocked() {
-		t.mu.Unlock()
-		return *t.view.Load(), true
+	defer t.mu.Unlock()
+	cur := t.snap.Load()
+	if cur.tree != s.tree {
+		return // a writer folded the table meanwhile
 	}
-	return nil, false
+	// The new tree holds everything live at s.version; keep the additions
+	// made after it that are still installed.
+	var adds []*entry
+	for _, e := range cur.adds {
+		if e.added > s.version && e.removed.Load() == 0 {
+			adds = append(adds, e)
+		}
+	}
+	next := t.newSnapshotLocked()
+	*next = snapshot{version: cur.version, tree: tree, adds: adds, n: cur.n}
+	t.snap.Store(next)
+}
+
+// newSnapshotLocked carves a snapshot out of the slab, so a churning
+// table allocates once per snapshotSlab publishes rather than once per
+// mutation. Each slot is written once, before it is published. The price
+// is that the current snapshot's slab keeps at most snapshotSlab-1
+// superseded snapshots, and the trees they point at, reachable. Callers
+// hold mu.
+func (t *Table) newSnapshotLocked() *snapshot {
+	if len(t.snaps) == 0 {
+		t.snaps = make([]snapshot, snapshotSlab)
+	}
+	s := &t.snaps[0]
+	t.snaps = t.snaps[1:]
+	return s
 }
 
 // Name returns the table's diagnostic name.
@@ -325,12 +417,15 @@ func (t *Table) SetCapacity(now float64, capacity int) int {
 			if victim == nil {
 				break // everything left is pinned
 			}
+			if len(evicted) == 0 {
+				t.version++
+			}
 			t.removeEntryLocked(victim)
 			t.Evictions.Add(1)
 			evicted = append(evicted, victim)
 		}
 		if len(evicted) > 0 {
-			t.markDirtyLocked()
+			t.publishLocked(nil)
 		}
 	}
 	t.mu.Unlock()
@@ -355,13 +450,7 @@ func (t *Table) atLimitLocked() bool {
 }
 
 // Len returns the number of installed entries.
-func (t *Table) Len() int {
-	if view, ok := t.loadView(); ok {
-		return len(view)
-	}
-	defer t.mu.Unlock()
-	return len(t.entries)
-}
+func (t *Table) Len() int { return t.snap.Load().n }
 
 // Capacity returns the entry limit (0 = unlimited, negative = admits
 // nothing; see SetCapacity).
@@ -378,41 +467,37 @@ func (t *Table) Capacity() int {
 func (t *Table) Insert(now float64, r flowspace.Rule, idle, hard float64) error {
 	var evicted *entry
 	t.mu.Lock()
+	t.version++
 	if old, ok := t.byID[r.ID]; ok {
 		t.removeEntryLocked(old)
 	}
 	if t.atLimitLocked() {
-		if t.policy == EvictNone {
-			t.markDirtyLocked()
+		if t.policy != EvictNone {
+			evicted = t.pickVictimLocked(now)
+		}
+		if evicted == nil {
+			t.publishLocked(nil)
 			t.mu.Unlock()
 			return ErrFull
 		}
-		victim := t.pickVictimLocked(now)
-		if victim == nil {
-			t.markDirtyLocked()
-			t.mu.Unlock()
-			return ErrFull
-		}
-		t.removeEntryLocked(victim)
+		t.removeEntryLocked(evicted)
 		t.Evictions.Add(1)
-		evicted = victim
 	}
 	e := &entry{
 		rule:        r,
 		idleTimeout: idle,
 		hardTimeout: hard,
 		installed:   now,
+		added:       t.version,
 	}
 	e.setLastHit(now)
 	// Insert preserving TCAM order.
-	i := sort.Search(len(t.entries), func(i int) bool {
-		return !t.entries[i].rule.Before(r)
-	})
+	i := t.searchLocked(&e.rule)
 	t.entries = append(t.entries, nil)
 	copy(t.entries[i+1:], t.entries[i:])
 	t.entries[i] = e
 	t.byID[r.ID] = e
-	t.markDirtyLocked()
+	t.publishLocked(e)
 	t.mu.Unlock()
 	// Hooks fire outside mu, after the mutation is visible (same contract
 	// as Advance's OnExpire).
@@ -425,6 +510,14 @@ func (t *Table) Insert(now float64, r flowspace.Rule, idle, hard float64) error 
 	return nil
 }
 
+// searchLocked returns the index of the first entry r does not follow in
+// TCAM order.
+func (t *Table) searchLocked(r *flowspace.Rule) int {
+	return sort.Search(len(t.entries), func(i int) bool {
+		return !t.entries[i].rule.Precedes(r)
+	})
+}
+
 // Delete removes the rule with the given ID, reporting whether it existed.
 func (t *Table) Delete(id uint64) bool {
 	t.mu.Lock()
@@ -433,8 +526,9 @@ func (t *Table) Delete(id uint64) bool {
 	if !ok {
 		return false
 	}
+	t.version++
 	t.removeEntryLocked(e)
-	t.markDirtyLocked()
+	t.publishLocked(nil)
 	return true
 }
 
@@ -449,22 +543,29 @@ func (t *Table) DeleteWhere(pred func(Entry) bool) int {
 			victims = append(victims, e)
 		}
 	}
-	for _, e := range victims {
-		t.removeEntryLocked(e)
-	}
-	if len(victims) > 0 {
-		t.markDirtyLocked()
-	}
+	t.removeAllLocked(victims)
 	return len(victims)
 }
 
+// removeAllLocked removes victims as one mutation.
+func (t *Table) removeAllLocked(victims []*entry) {
+	if len(victims) == 0 {
+		return
+	}
+	t.version++
+	for _, e := range victims {
+		t.removeEntryLocked(e)
+	}
+	t.publishLocked(nil)
+}
+
+// removeEntryLocked takes e out of the table state at t.version; the
+// caller publishes.
 func (t *Table) removeEntryLocked(e *entry) {
+	e.removed.Store(t.version)
 	delete(t.byID, e.rule.ID)
-	for i, x := range t.entries {
-		if x == e {
-			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-			return
-		}
+	if i := t.searchLocked(&e.rule); i < len(t.entries) && t.entries[i] == e {
+		t.entries = append(t.entries[:i], t.entries[i+1:]...)
 	}
 }
 
@@ -476,21 +577,21 @@ func (t *Table) removeEntryLocked(e *entry) {
 // the fallback when it declines.
 func (t *Table) pickVictimLocked(now float64) *entry {
 	if t.victimFn != nil {
-		var cands []VictimCandidate
-		var live []*entry
+		cands, live := t.cands[:0], t.candEntries[:0]
 		for _, e := range t.entries {
 			if t.pins[e.rule.ID] > 0 {
 				continue
 			}
 			cands = append(cands, VictimCandidate{
 				ID:        e.rule.ID,
-				Rule:      e.rule,
+				Rule:      &e.rule,
 				Packets:   e.packets.Load(),
 				LastHit:   e.lastHit(),
 				Installed: e.installed,
 			})
 			live = append(live, e)
 		}
+		t.cands, t.candEntries = cands, live
 		if len(cands) == 0 {
 			return nil
 		}
@@ -529,92 +630,65 @@ func (t *Table) pickVictimLocked(now float64) *entry {
 	return victim
 }
 
-// Lookup returns the highest-priority entry matching k, updating counters
-// with the packet's size, and false on a miss. In steady state it is
-// lock-free: it walks the published snapshot and touches only atomic
-// counters, so it never contends with concurrent installs. While installs
-// are churning it scans the live table under the mutex instead (see the
-// package comment).
-func (t *Table) Lookup(now float64, k flowspace.Key, size int) (flowspace.Rule, bool) {
-	if view, ok := t.loadView(); ok {
-		for i := range view {
-			if view[i].match.Matches(k) {
-				return t.hit(view[i].e, now, size), true
-			}
-		}
+// Lookup returns a handle to the highest-priority rule matching k,
+// updating its counters with the packet's size, and false on a miss. It
+// is lock-free: it searches the published snapshot and touches only
+// atomic counters, so it never contends with concurrent installs.
+func (t *Table) Lookup(now float64, k flowspace.Key, size int) (*flowspace.Rule, bool) {
+	s := t.snap.Load()
+	e, waste := s.find(&k)
+	if waste > 0 {
+		t.charge(s, int64(waste))
+	}
+	if e == nil {
 		t.Misses.Add(1)
-		return flowspace.Rule{}, false
+		return nil, false
 	}
-	defer t.mu.Unlock()
-	for _, e := range t.entries {
-		if e.rule.Match.Matches(k) {
-			return t.hit(e, now, size), true
-		}
-	}
-	t.Misses.Add(1)
-	return flowspace.Rule{}, false
+	e.hit(now, size)
+	t.Hits.Add(1)
+	return &e.rule, true
 }
 
-// View is a per-burst acquisition of the table's read state: one loadView
-// (a single atomic load in steady state) serves every lookup of a packet
-// burst, and the table-level hit/miss counters are folded in with one
-// atomic add each at Release instead of one per packet. While the table is
-// churning, AcquireView holds the table mutex until Release — installs
-// wait at most one burst, the same bound a churning per-packet Lookup
-// already imposes per packet. A View must be Released on the goroutine
-// that acquired it, must not outlive the burst, and must not interleave
-// with another View of the same table on the same goroutine.
-type View struct {
-	t      *Table
-	view   []viewEntry
-	locked bool
-	hits   uint64
-	misses uint64
-}
-
-// AcquireView starts a burst of lookups against a consistent table state.
-func (t *Table) AcquireView() View {
-	if view, ok := t.loadView(); ok {
-		return View{t: t, view: view}
-	}
-	// loadView left mu held: serve the burst from the live entries.
-	return View{t: t, locked: true}
-}
-
-// Lookup is Table.Lookup against the view's snapshot; per-entry counters
-// update immediately (they are atomics either way), table-level hit/miss
-// tallies accumulate locally until Release.
-func (v *View) Lookup(now float64, k flowspace.Key, size int) (flowspace.Rule, bool) {
-	if v.locked {
-		for _, e := range v.t.entries {
-			if e.rule.Match.Matches(k) {
-				v.hitEntry(e, now, size)
-				return e.rule, true
-			}
-		}
-		v.misses++
-		return flowspace.Rule{}, false
-	}
-	for i := range v.view {
-		if v.view[i].match.Matches(k) {
-			e := v.view[i].e
-			v.hitEntry(e, now, size)
-			return e.rule, true
-		}
-	}
-	v.misses++
-	return flowspace.Rule{}, false
-}
-
-func (v *View) hitEntry(e *entry, now float64, size int) {
+// hit applies a matched packet to the entry's counters.
+func (e *entry) hit(now float64, size int) {
 	e.packets.Add(1)
 	e.bytes.Add(uint64(size))
 	e.setLastHit(now)
-	v.hits++
 }
 
-// Release ends the burst: accumulated hit/miss counts land on the table
-// and, if the view was taken under the mutex, the mutex is released.
+// View is a per-burst acquisition of the table's read state: one atomic
+// load serves every lookup of a packet burst, so the whole burst sees one
+// table state, and the table-level hit/miss counters and the compile debt
+// are folded in once at Release instead of per packet. A View must be
+// Released, and must not outlive the burst.
+type View struct {
+	t      *Table
+	s      *snapshot
+	hits   uint64
+	misses uint64
+	waste  int64
+}
+
+// AcquireView starts a burst of lookups against a consistent table state.
+func (t *Table) AcquireView() View { return View{t: t, s: t.snap.Load()} }
+
+// Lookup is Table.Lookup against the view's snapshot; per-entry counters
+// update immediately (they are atomics), table-level hit/miss tallies
+// accumulate locally until Release.
+func (v *View) Lookup(now float64, k *flowspace.Key, size int) (*flowspace.Rule, bool) {
+	e, waste := v.s.find(k)
+	v.waste += int64(waste)
+	if e == nil {
+		v.misses++
+		return nil, false
+	}
+	e.hit(now, size)
+	v.hits++
+	return &e.rule, true
+}
+
+// Release ends the burst: accumulated hit/miss counts land on the table,
+// and the burst's scan debt may recompile the snapshot's tree.
 func (v *View) Release() {
 	if v.hits > 0 {
 		v.t.Hits.Add(v.hits)
@@ -624,39 +698,19 @@ func (v *View) Release() {
 		v.t.Misses.Add(v.misses)
 		v.misses = 0
 	}
-	if v.locked {
-		v.locked = false
-		v.t.mu.Unlock()
+	if v.waste > 0 {
+		v.t.charge(v.s, v.waste)
+		v.waste = 0
 	}
-	v.view = nil
-}
-
-// hit applies a matched entry's counter updates.
-func (t *Table) hit(e *entry, now float64, size int) flowspace.Rule {
-	e.packets.Add(1)
-	e.bytes.Add(uint64(size))
-	e.setLastHit(now)
-	t.Hits.Add(1)
-	return e.rule
+	v.s = nil
 }
 
 // Peek is Lookup without counter updates — for analysis passes.
-func (t *Table) Peek(k flowspace.Key) (flowspace.Rule, bool) {
-	if view, ok := t.loadView(); ok {
-		for i := range view {
-			if view[i].match.Matches(k) {
-				return view[i].e.rule, true
-			}
-		}
-		return flowspace.Rule{}, false
+func (t *Table) Peek(k flowspace.Key) (*flowspace.Rule, bool) {
+	if e, _ := t.snap.Load().find(&k); e != nil {
+		return &e.rule, true
 	}
-	defer t.mu.Unlock()
-	for _, e := range t.entries {
-		if e.rule.Match.Matches(k) {
-			return e.rule, true
-		}
-	}
-	return flowspace.Rule{}, false
+	return nil, false
 }
 
 // Advance expires entries whose idle or hard timeout has passed by time
@@ -669,12 +723,7 @@ func (t *Table) Advance(now float64) {
 			expired = append(expired, e)
 		}
 	}
-	for _, e := range expired {
-		t.removeEntryLocked(e)
-	}
-	if len(expired) > 0 {
-		t.markDirtyLocked()
-	}
+	t.removeAllLocked(expired)
 	t.mu.Unlock()
 	if t.OnExpire != nil {
 		for _, e := range expired {
@@ -688,29 +737,21 @@ func (t *Table) Advance(now float64) {
 func (t *Table) NextExpiry() (float64, bool) {
 	const never = 1e30
 	best := never
-	for _, e := range t.liveEntries() {
+	t.mu.Lock()
+	for _, e := range t.entries {
 		if at := e.expiresAt(); at < best {
 			best = at
 		}
 	}
+	t.mu.Unlock()
 	return best, best < never
 }
 
-// liveEntries returns the current entry set for a cold-path read: the
-// published snapshot's entries when clean, or a copy taken under mu while
-// churning (a copy, so the caller can iterate without holding the lock).
+// liveEntries copies the installed entries, in TCAM order, under mu.
 func (t *Table) liveEntries() []*entry {
-	if view, ok := t.loadView(); ok {
-		out := make([]*entry, len(view))
-		for i := range view {
-			out[i] = view[i].e
-		}
-		return out
-	}
-	out := make([]*entry, len(t.entries))
-	copy(out, t.entries)
-	t.mu.Unlock()
-	return out
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]*entry(nil), t.entries...)
 }
 
 // Entries returns a snapshot of the entries in TCAM order.

@@ -80,16 +80,6 @@ type HealthView struct {
 	cur   map[string][]Point
 }
 
-func flattenScrape(snap []MetricSnapshot) map[string][]Point {
-	out := make(map[string][]Point, len(snap))
-	for i := range snap {
-		if len(snap[i].Points) > 0 {
-			out[snap[i].Name] = snap[i].Points
-		}
-	}
-	return out
-}
-
 func sumPoints(pts []Point) float64 {
 	var s float64
 	for i := range pts {
@@ -277,12 +267,12 @@ func NewWatchdog(reg *Registry, rules []HealthRule) *Watchdog {
 	return w
 }
 
-// EvalOnce scrapes the registry, evaluates every rule against the previous
-// scrape, and returns the new statuses. nowNS is the caller's clock
-// (monotonic ns in wire mode, virtual ns in the simulator).
+// EvalOnce scrapes the registry's point series (rules never read
+// summaries, whose collectors are the costly ones), evaluates every rule
+// against the previous scrape, and returns the new statuses. nowNS is the
+// caller's clock (monotonic ns in wire mode, virtual ns in the simulator).
 func (w *Watchdog) EvalOnce(nowNS int64) []RuleStatus {
-	snap := w.reg.Snapshot() // outside the lock: collectors may read our gauges
-	cur := flattenScrape(snap)
+	cur := w.reg.Points() // outside the lock: collectors may read our gauges
 
 	w.mu.Lock()
 	defer w.mu.Unlock()

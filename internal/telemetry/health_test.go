@@ -70,6 +70,23 @@ func TestWatchdogFirstEvalIsBaselineOnly(t *testing.T) {
 	}
 }
 
+// TestEvalOnceNeverCollectsSummaries holds the watchdog to point series:
+// a summary collector merges and sorts every recorded sample, and no rule
+// reads one.
+func TestEvalOnceNeverCollectsSummaries(t *testing.T) {
+	f := newFakeCluster()
+	f.reg.RegisterSummary("difane_delivery_latency_seconds", "", func() SummaryView {
+		t.Fatal("EvalOnce collected a summary")
+		return SummaryView{}
+	})
+	w := NewWatchdog(f.reg, DefaultHealthRules(HealthConfig{}))
+	w.EvalOnce(1e9)
+	f.bfdTransitions += 100
+	if st := statusOf(t, w.EvalOnce(2e9), "bfd-flap"); !st.Firing {
+		t.Fatalf("bfd-flap not firing from the point scrape: %+v", st)
+	}
+}
+
 func TestMissRateBurnFiresAndClears(t *testing.T) {
 	f := newFakeCluster()
 	w := NewWatchdog(f.reg, DefaultHealthRules(HealthConfig{}))

@@ -136,6 +136,25 @@ func (g *Registry) Snapshot() []MetricSnapshot {
 	return out
 }
 
+// Points scrapes every counter and gauge by name, skipping summaries:
+// a summary's collector typically merges and sorts every sample it has
+// recorded. Metrics with no points are left out.
+func (g *Registry) Points() map[string][]Point {
+	g.mu.Lock()
+	ms := append([]metric(nil), g.metrics...)
+	g.mu.Unlock()
+	out := make(map[string][]Point, len(ms))
+	for _, m := range ms {
+		if m.typ == TypeSummary {
+			continue
+		}
+		if pts := m.collect(); len(pts) > 0 {
+			out[m.name] = pts
+		}
+	}
+	return out
+}
+
 // scrapeBuf pools the scratch buffers WritePrometheus renders into, so a
 // scrape reuses one buffer across every collector instead of allocating
 // per line. Concurrent scrapes each check out their own buffer.

@@ -24,35 +24,38 @@ const aggIDBase uint64 = 1 << 52
 // fields (wildcard bits zero) are a member key identifying it. c.assign
 // is immutable after construction, so this is safe from any goroutine —
 // including under a TCAM's table lock.
-func (c *Cluster) regionOfMatch(m flowspace.Match) int {
+func (c *Cluster) regionOfMatch(m *flowspace.Match) int {
 	var k flowspace.Key
 	for f := flowspace.FieldID(0); f < flowspace.NumFields; f++ {
 		k[f] = m.Fields[f].Value
 	}
 	for i := range c.assign.Partitions {
-		if c.assign.Partitions[i].Region.Matches(k) {
+		if c.assign.Partitions[i].Region.Has(&k) {
 			return i
 		}
 	}
 	return -1
 }
 
-// cacheVictimFn builds the custom victim picker for ingress caches, or
-// nil when the cluster is not cost-aware.
+// cacheVictimFn builds the custom victim picker for one ingress cache, or
+// nil when the cluster is not cost-aware. The table calls it under its
+// own mutex, so the closure's scratch slice needs no lock of its own.
 func (c *Cluster) cacheVictimFn() tcam.VictimFunc {
 	if c.cachePol == nil {
 		return nil
 	}
+	var cc []cachepolicy.Candidate
 	return func(now float64, cands []tcam.VictimCandidate) int {
-		cc := make([]cachepolicy.Candidate, len(cands))
-		for i, cand := range cands {
-			cc[i] = cachepolicy.Candidate{
+		cc = cc[:0]
+		for i := range cands {
+			cand := &cands[i]
+			cc = append(cc, cachepolicy.Candidate{
 				ID:        cand.ID,
-				Region:    c.regionOfMatch(cand.Rule.Match),
+				Region:    c.regionOfMatch(&cand.Rule.Match),
 				Packets:   cand.Packets,
 				LastHit:   cand.LastHit,
 				Installed: cand.Installed,
-			}
+			})
 		}
 		return c.cachePol.Victim(now, cc)
 	}
@@ -98,7 +101,7 @@ func (c *Cluster) adaptCachesWire() {
 			if span <= 0 {
 				continue
 			}
-			pol.ObserveInterArrival(c.regionOfMatch(e.Rule.Match), span/float64(e.Packets-1))
+			pol.ObserveInterArrival(c.regionOfMatch(&e.Rule.Match), span/float64(e.Packets-1))
 		}
 	}
 

@@ -775,7 +775,7 @@ func (c *Cluster) installWriter(n *node) {
 // the partition's failover list — the ingress-side half of DIFANE's
 // failover, requiring no controller involvement because backup authority
 // rules are pre-installed.
-func (c *Cluster) failoverLocal(n *node, r flowspace.Rule, dead uint32) (uint32, bool) {
+func (c *Cluster) failoverLocal(n *node, r *flowspace.Rule, dead uint32) (uint32, bool) {
 	idx, ok := c.assign.PartitionOfRuleID(partitionRuleBase, r.ID)
 	if !ok {
 		return 0, false
@@ -791,7 +791,7 @@ func (c *Cluster) failoverLocal(n *node, r flowspace.Rule, dead uint32) (uint32,
 	if !found {
 		return 0, false
 	}
-	nr := r
+	nr := *r // the handle is the installed rule: never write through it
 	nr.Action = flowspace.Action{Kind: flowspace.ActRedirect, Arg: next}
 	mod := proto.FlowMod{Table: proto.TablePartition, Op: proto.OpAdd, Rule: nr}
 	_ = n.sw.ApplyFlowMod(nowSec(), &mod)
